@@ -16,6 +16,10 @@ using Digest = std::array<uint8_t, 32>;
 /// Incremental SHA-256 (FIPS 180-4). Implemented from scratch; verified
 /// against the NIST test vectors in tests/crypto_test.cc.
 ///
+/// The compression function is chosen once, by CPUID at static
+/// initialization: the x86 SHA extensions (SHA-NI) when the CPU has them,
+/// the portable scalar kernel otherwise. Both produce identical digests.
+///
 /// Used for: transaction ids, block data hashes (via the Merkle tree), the
 /// ledger hash chain, and as the compression function of HMAC signatures.
 class Sha256 {
@@ -37,13 +41,30 @@ class Sha256 {
   static Digest Hash(const Bytes& b) { return Hash(b.data(), b.size()); }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
   size_t buffer_len_;
 };
+
+namespace internal {
+
+/// Compresses `blocks` consecutive 64-byte blocks at `data` into `state`.
+using CompressFn = void (*)(uint32_t state[8], const uint8_t* data,
+                            size_t blocks);
+
+/// The portable scalar kernel. Exposed so tests and benchmarks can check the
+/// dispatched kernel against it; Sha256 itself always uses
+/// ActiveCompress().
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks);
+
+/// The kernel every Sha256 uses.
+CompressFn ActiveCompress();
+
+/// "sha-ni" or "portable": which kernel ActiveCompress() is.
+const char* ActiveKernelName();
+
+}  // namespace internal
 
 /// Lowercase hex rendering of a digest.
 std::string DigestToHex(const Digest& d);

@@ -1,5 +1,7 @@
 #include "runtime/thread_runtime.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <utility>
@@ -25,12 +27,8 @@ ThreadRuntime::PushOutcome ThreadRuntime::Mailbox::Push(Task fn,
   bool forced = false;
   if (queue_.size() >= capacity_ &&
       std::this_thread::get_id() != consumer_) {
-    // Backpressure: block briefly for a slot. The consumer never waits on
-    // its own box (self-deadlock). Past the grace period, a sheddable task
-    // (transport delivery) is dropped and reported — the box stays
-    // bounded; a non-sheddable one (local post, timer, executor
-    // completion) is force-enqueued rather than risk a producer cycle
-    // deadlocking (A full waiting on B full waiting on A).
+    // Backpressure (see the header): block briefly for a slot; the consumer
+    // never waits on its own box (self-deadlock).
     const auto grace = may_shed ? kShedGracePeriod : kPushGracePeriod;
     if (!not_full_.wait_for(lock, grace, [this] {
           return queue_.size() < capacity_ || closed_;
@@ -54,20 +52,55 @@ ThreadRuntime::PushOutcome ThreadRuntime::Mailbox::Push(Task fn,
   return forced ? PushOutcome::kForced : PushOutcome::kOk;
 }
 
+void ThreadRuntime::Mailbox::PushTimer(TimeMicros when, Task fn) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (closed_) return;
+  const bool wake = (timers_.empty() || when < timers_.top().when) &&
+                    std::this_thread::get_id() != consumer_;
+  timers_.push(TimerEntry{when, timer_seq_++, std::move(fn)});
+  lock.unlock();
+  if (wake) not_empty_.notify_one();
+}
+
 bool ThreadRuntime::Mailbox::Pop(Task* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return !queue_.empty() || closed_; });
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  not_full_.notify_one();
-  return true;
+  for (;;) {
+    const bool timer_due =
+        !timers_.empty() && timers_.top().when <= runtime_->Now();
+    if (timer_due && (!timer_last_ || queue_.empty())) {
+      // Counted under the lock: Quiesce sees it in the heap or the count.
+      runtime_->inflight_.fetch_add(1, std::memory_order_relaxed);
+      *out = std::move(const_cast<TimerEntry&>(timers_.top()).fn);
+      timers_.pop();
+      timer_last_ = true;
+      return true;
+    }
+    if (!queue_.empty()) {
+      timer_last_ = false;
+      *out = std::move(queue_.front());
+      queue_.pop_front();
+      not_full_.notify_one();
+      return true;
+    }
+    if (closed_) return false;
+    if (timers_.empty()) {
+      not_empty_.wait(lock);
+    } else {
+      not_empty_.wait_until(lock, runtime_->TimePointFor(timers_.top().when));
+    }
+  }
+}
+
+bool ThreadRuntime::Mailbox::TimerDueBy(TimeMicros deadline) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !timers_.empty() && timers_.top().when <= deadline;
 }
 
 void ThreadRuntime::Mailbox::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
+    timers_ = {};
   }
   not_empty_.notify_all();
   not_full_.notify_all();
@@ -78,12 +111,11 @@ void ThreadRuntime::Mailbox::Close() {
 TimeMicros ThreadRuntime::ThreadClock::Now() const { return runtime_->Now(); }
 
 void ThreadRuntime::ThreadClock::Schedule(TimeMicros delay, Task fn) {
-  runtime_->ScheduleTimer(owner_, runtime_->Now() + delay, std::move(fn));
+  owner_->mailbox().PushTimer(runtime_->Now() + delay, std::move(fn));
 }
 
 void ThreadRuntime::ThreadClock::ScheduleAt(TimeMicros when, Task fn) {
-  runtime_->ScheduleTimer(owner_, std::max(when, runtime_->Now()),
-                          std::move(fn));
+  owner_->mailbox().PushTimer(std::max(when, runtime_->Now()), std::move(fn));
 }
 
 // --- ThreadEndpoint ---
@@ -109,12 +141,13 @@ void ThreadRuntime::ThreadEndpoint::StartThread() {
   thread_ = std::thread([this] { RunLoop(); });
 }
 
-void ThreadRuntime::ThreadEndpoint::CloseAndJoin() {
-  mailbox_.Close();
+void ThreadRuntime::ThreadEndpoint::Join() {
   if (thread_.joinable()) thread_.join();
 }
 
 void ThreadRuntime::ThreadEndpoint::RunLoop() {
+  // Per-node attribution in top -H / perf; Linux caps names at 15 bytes.
+  pthread_setname_np(pthread_self(), name_.substr(0, 15).c_str());
   mailbox_.BindConsumer();
   Task task;
   while (mailbox_.Pop(&task)) {
@@ -147,7 +180,6 @@ ThreadRuntime::ThreadRuntime(const Options& options)
   epoch_ns_.store(
       std::chrono::steady_clock::now().time_since_epoch().count(),
       std::memory_order_relaxed);
-  timer_thread_ = std::thread([this] { TimerLoop(); });
 }
 
 ThreadRuntime::~ThreadRuntime() { Shutdown(); }
@@ -190,7 +222,7 @@ void ThreadRuntime::ResetEpoch() {
   epoch_ns_.store(
       std::chrono::steady_clock::now().time_since_epoch().count(),
       std::memory_order_relaxed);
-  timer_cv_.notify_all();
+  for (auto& ep : endpoints_) ep->mailbox().Wake();
 }
 
 std::chrono::steady_clock::time_point ThreadRuntime::TimePointFor(
@@ -218,78 +250,34 @@ void ThreadRuntime::LogOverflow(const char* what, size_t capacity) {
                capacity, what);
 }
 
-void ThreadRuntime::ScheduleTimer(ThreadEndpoint* target, TimeMicros when,
-                                  Task fn) {
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    if (timer_stop_) return;
-    timers_.push(TimerEntry{when, timer_seq_++, target, std::move(fn)});
+bool ThreadRuntime::BusyWithin(TimeMicros horizon) {
+  // Timers before the inflight count: a timer popped after its heap was
+  // checked is already counted in inflight_ by the time we read it.
+  const TimeMicros deadline = Now() + horizon;
+  for (auto& ep : endpoints_) {
+    if (ep->mailbox().TimerDueBy(deadline)) return true;
   }
-  timer_cv_.notify_all();
-}
-
-void ThreadRuntime::TimerLoop() {
-  std::unique_lock<std::mutex> lock(timer_mu_);
-  while (!timer_stop_) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lock);
-      continue;
-    }
-    const TimeMicros due = timers_.top().when;
-    if (Now() < due) {
-      // Woken early by a new (possibly earlier) timer, ResetEpoch or stop;
-      // re-evaluate the heap top either way.
-      timer_cv_.wait_until(lock, TimePointFor(due));
-      continue;
-    }
-    // Move the due entry out of the heap; `timer_posting_` keeps Quiesce
-    // from declaring idle while the task is in flight to its mailbox.
-    TimerEntry entry = std::move(const_cast<TimerEntry&>(timers_.top()));
-    timers_.pop();
-    ++timer_posting_;
-    lock.unlock();
-    entry.target->Post(std::move(entry.fn));
-    lock.lock();
-    --timer_posting_;
-  }
-}
-
-bool ThreadRuntime::TimerBusyWithin(TimeMicros horizon) {
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  if (timer_posting_ > 0) return true;
-  return !timers_.empty() && timers_.top().when <= Now() + horizon;
+  return inflight_.load(std::memory_order_acquire) != 0;
 }
 
 void ThreadRuntime::Quiesce(TimeMicros timer_horizon) {
   for (;;) {
-    if (inflight_.load(std::memory_order_acquire) != 0 ||
-        TimerBusyWithin(timer_horizon)) {
+    if (BusyWithin(timer_horizon)) {
       std::this_thread::sleep_for(kQuiescePollInterval);
       continue;
     }
     // Idle right now — but a timer just past the poll may still fire work.
     // Require the idle state to hold across one more interval.
     std::this_thread::sleep_for(kQuiescePollInterval);
-    if (inflight_.load(std::memory_order_acquire) == 0 &&
-        !TimerBusyWithin(timer_horizon)) {
-      return;
-    }
+    if (!BusyWithin(timer_horizon)) return;
   }
 }
 
 void ThreadRuntime::Shutdown() {
-  if (shutdown_) return;
-  shutdown_ = true;
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    timer_stop_ = true;
-    while (!timers_.empty()) timers_.pop();
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-  // Closing lets each consumer drain what is queued, then exit; tasks that
-  // post to an already-closed mailbox during the drain are dropped.
-  for (auto& ep : endpoints_) ep->CloseAndJoin();
+  // Close every box (dropping all timers) before joining any; each consumer
+  // drains its queue. Posts to a closed mailbox during the drain drop.
+  for (auto& ep : endpoints_) ep->mailbox().Close();
+  for (auto& ep : endpoints_) ep->Join();
 }
 
 }  // namespace fabricpp::runtime

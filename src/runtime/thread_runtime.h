@@ -18,10 +18,10 @@
 namespace fabricpp::runtime {
 
 /// The concurrent runtime: every endpoint is an actor with a bounded MPSC
-/// mailbox drained by its own OS thread, time is std::chrono::steady_clock
-/// microseconds since the runtime's epoch, and the transport delivers
-/// messages by enqueueing the delivery task into the receiver's mailbox
-/// (lossless, FIFO per sender/receiver pair).
+/// mailbox and a timer heap drained by its own OS thread, time is
+/// std::chrono::steady_clock microseconds since the runtime's epoch, and the
+/// transport delivers messages by enqueueing the delivery task into the
+/// receiver's mailbox (lossless, FIFO per sender/receiver pair).
 ///
 /// This preserves the simulation's single-writer discipline — all of a
 /// node's message deliveries, timer callbacks and executor completions run
@@ -31,8 +31,8 @@ namespace fabricpp::runtime {
 /// as fast as the hardware allows.
 ///
 /// Not deterministic: cross-node interleavings depend on the scheduler.
-/// Fault injection, virtual-time experiments and the Raft backend remain
-/// simulation-only.
+/// Fault injection plans and virtual-time experiments remain
+/// simulation-only; Raft ordering runs here too (see DESIGN.md §16).
 class ThreadRuntime final : public Runtime {
  public:
   struct Options {
@@ -82,9 +82,9 @@ class ThreadRuntime final : public Runtime {
   /// are left pending; their callbacks are defensive no-ops by then.
   void Quiesce(TimeMicros timer_horizon);
 
-  /// Stops the timer thread (dropping pending timers), closes every
-  /// mailbox, drains and joins all threads. Idempotent; called by the
-  /// destructor. After shutdown, posts and timers are silently dropped.
+  /// Closes every mailbox (dropping its pending timers), then drains and
+  /// joins all endpoint threads. Idempotent; called by the destructor.
+  /// After shutdown, posts and timers are silently dropped.
   void Shutdown();
 
   uint64_t messages_sent() const { return messages_sent_.load(); }
@@ -94,7 +94,7 @@ class ThreadRuntime final : public Runtime {
   /// nonzero means receivers were saturated and the lossless-transport
   /// assumption did not hold (client timeouts / catch-up fetches recover).
   uint64_t mailbox_shed_total() const { return mailbox_shed_total_.load(); }
-  /// Non-sheddable tasks (local posts, timers, executor completions)
+  /// Non-sheddable tasks (local posts, executor completions)
   /// force-enqueued past capacity to preserve deadlock freedom.
   uint64_t mailbox_forced_total() const {
     return mailbox_forced_total_.load();
@@ -103,7 +103,7 @@ class ThreadRuntime final : public Runtime {
  private:
   class ThreadEndpoint;
 
-  /// Bounded multi-producer single-consumer task queue.
+  /// Bounded multi-producer single-consumer task queue + timer heap.
   class Mailbox {
    public:
     Mailbox(size_t capacity, ThreadRuntime* runtime)
@@ -115,23 +115,55 @@ class ThreadRuntime final : public Runtime {
     /// would deadlock. Past the grace period the outcome splits on
     /// `may_shed`: transport deliveries (may_shed) are *dropped* and
     /// counted (kShedFull) — the box stays bounded and the loss is
-    /// reported, never silent; local posts, timers and executor
-    /// completions (!may_shed) are force-enqueued (kForced), trading
-    /// strict boundedness for deadlock freedom on producer cycles —
-    /// shedding those would wedge a node's own pipeline.
+    /// reported, never silent; local posts and executor completions
+    /// (!may_shed) are force-enqueued (kForced), trading strict boundedness
+    /// for deadlock freedom on producer cycles — shedding those would wedge
+    /// a node's own pipeline.
     PushOutcome Push(Task fn, bool may_shed);
 
-    /// Blocks for the next task; returns false when closed and drained.
+    /// Arms a timer for runtime time `when`, outside the bounded queue.
+    /// Wakes the consumer only if the timer is the earliest and the caller
+    /// is not the consumer (whose next Pop sees it anyway).
+    void PushTimer(TimeMicros when, Task fn);
+
+    /// Blocks for the next task — a due timer first (but never two in a row
+    /// while tasks wait), then the queue head, else sleeps until the
+    /// earliest deadline. False when closed and drained.
     bool Pop(Task* out);
 
-    void BindConsumer() { consumer_ = std::this_thread::get_id(); }
+    bool TimerDueBy(TimeMicros deadline);
+
+    /// Makes a sleeping consumer recompute its deadline (epoch moved).
+    void Wake() { not_empty_.notify_all(); }
+
+    void BindConsumer() {
+      std::lock_guard<std::mutex> lock(mu_);  // Producers read it under mu_.
+      consumer_ = std::this_thread::get_id();
+    }
+    /// Drops pending timers and refuses new work; queued tasks still drain.
     void Close();
 
    private:
+    struct TimerEntry {
+      TimeMicros when;
+      uint64_t seq;  ///< FIFO tie-break for equal deadlines.
+      Task fn;
+    };
+    struct TimerCompare {
+      bool operator()(const TimerEntry& a, const TimerEntry& b) const {
+        if (a.when != b.when) return a.when > b.when;
+        return a.seq > b.seq;
+      }
+    };
+
     std::mutex mu_;
     std::condition_variable not_empty_;
     std::condition_variable not_full_;
     std::deque<Task> queue_;
+    std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerCompare>
+        timers_;
+    uint64_t timer_seq_ = 0;
+    bool timer_last_ = false;  ///< Whether the last Pop took a timer.
     size_t capacity_;
     ThreadRuntime* runtime_;
     std::thread::id consumer_{};
@@ -165,8 +197,9 @@ class ThreadRuntime final : public Runtime {
     /// pipeline is not).
     PushOutcome PostDelivery(Task fn);
 
+    Mailbox& mailbox() { return mailbox_; }
     void StartThread();
-    void CloseAndJoin();
+    void Join();
 
    private:
     void RunLoop();
@@ -206,30 +239,16 @@ class ThreadRuntime final : public Runtime {
     ThreadRuntime* runtime_;
   };
 
-  struct TimerEntry {
-    TimeMicros when;
-    uint64_t seq;  ///< FIFO tie-break for equal deadlines.
-    ThreadEndpoint* target;
-    Task fn;
-  };
-  struct TimerCompare {
-    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  void ScheduleTimer(ThreadEndpoint* target, TimeMicros when, Task fn);
   /// Rate-limited (1/s) stderr note about mailbox overflow events.
   void LogOverflow(const char* what, size_t capacity);
-  void TimerLoop();
   std::chrono::steady_clock::time_point TimePointFor(TimeMicros t) const;
-  bool TimerBusyWithin(TimeMicros horizon);
+  /// Any task queued or running, or any timer due within `horizon`?
+  bool BusyWithin(TimeMicros horizon);
 
   Options options_;
   /// steady_clock nanoseconds-since-clock-epoch of runtime time 0.
   std::atomic<int64_t> epoch_ns_;
-  /// Queued + currently-executing mailbox tasks, across all endpoints.
+  /// Queued (incl. popped timers) + executing tasks, across all endpoints.
   std::atomic<int64_t> inflight_{0};
   std::atomic<uint64_t> messages_sent_{0};
   std::atomic<uint64_t> bytes_sent_{0};
@@ -242,17 +261,6 @@ class ThreadRuntime final : public Runtime {
   std::vector<std::unique_ptr<ThreadEndpoint>> endpoints_;
   std::vector<std::unique_ptr<ThreadExecutor>> executors_;
   std::vector<std::unique_ptr<ThreadPool>> pools_;
-
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerCompare>
-      timers_;
-  uint64_t timer_seq_ = 0;
-  /// Timers popped from the heap but not yet enqueued at their target.
-  int64_t timer_posting_ = 0;
-  bool timer_stop_ = false;
-  std::thread timer_thread_;
-  bool shutdown_ = false;
 };
 
 }  // namespace fabricpp::runtime
